@@ -276,7 +276,7 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if x < (a + 1.0) / (a + b + 2.0) {
         front * beta_cf(a, b, x) / a
     } else {
-        1.0 - (a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b)).exp() * beta_cf(b, a, 1.0 - x) / b
+        1.0 - front * beta_cf(b, a, 1.0 - x) / b
     }
 }
 
