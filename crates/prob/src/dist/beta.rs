@@ -2,7 +2,7 @@
 
 use super::{Continuous, Gamma, Support};
 use crate::error::{ProbError, Result};
-use crate::special::{inv_reg_inc_beta, ln_beta, reg_inc_beta};
+use crate::special::{inv_reg_inc_beta, ln_beta, reg_inc_beta, IncBetaInverse};
 use crate::rng::RngCore;
 
 /// Beta distribution on `[0, 1]` with shape parameters `alpha` and `beta`.
@@ -105,6 +105,16 @@ impl Continuous for Beta {
         inv_reg_inc_beta(self.alpha, self.beta, p)
     }
 
+    fn quantile_fill(&self, ps: &[f64], out: &mut [f64]) {
+        assert_eq!(ps.len(), out.len(), "quantile_fill: slice lengths differ");
+        // `ln B` and the start's shape terms once per column; the same
+        // inverter `quantile` builds per call, so results are bit-identical.
+        let inverse = IncBetaInverse::new(self.alpha, self.beta);
+        for (y, &p) in out.iter_mut().zip(ps) {
+            *y = inverse.invert(p);
+        }
+    }
+
     fn mean(&self) -> f64 {
         self.alpha / (self.alpha + self.beta)
     }
@@ -150,6 +160,29 @@ mod tests {
     fn quantile_round_trip() {
         let b = Beta::new(2.5, 4.0).unwrap();
         testutil::check_quantile_cdf_round_trip(&b, &[0.05, 0.2, 0.5, 0.8], 1e-9);
+    }
+
+    #[test]
+    fn quantile_fill_is_bit_identical_over_ragged_lengths() {
+        for &(a, b) in &[(2.5, 8.0), (0.4, 0.7), (300.0, 700.0)] {
+            let d = Beta::new(a, b).unwrap();
+            testutil::check_fills_match_scalar(&d, 17);
+            for n in [0, 1, 2, 3, 7, 64, 255, 1000] {
+                // Both ends, both tails and the bulk.
+                let ps: Vec<f64> = (0..n)
+                    .map(|i| match i % 4 {
+                        0 => (i as f64 / n as f64).powi(8),
+                        1 => 1.0 - 1e-15 * (i - 1) as f64,
+                        _ => (i as f64 + 0.5) / n as f64,
+                    })
+                    .collect();
+                let mut out = vec![f64::NAN; n];
+                d.quantile_fill(&ps, &mut out);
+                for (&p, &y) in ps.iter().zip(&out) {
+                    assert_eq!(y.to_bits(), d.quantile(p).to_bits(), "Beta({a}, {b}) at p={p}");
+                }
+            }
+        }
     }
 
     #[test]

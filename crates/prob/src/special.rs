@@ -7,9 +7,13 @@
 //! incomplete gamma function, and high-accuracy inverse CDF helpers.
 //!
 //! Accuracy targets: ~1e-13 relative error for `ln_gamma`, ~1e-12 for the
-//! regularized incomplete functions over their well-conditioned domains, and
+//! regularized incomplete functions over their well-conditioned domains,
 //! full `f64` accuracy for `inverse_standard_normal_cdf` (Acklam initial
-//! estimate plus one Halley refinement step).
+//! estimate plus one Halley refinement step), and for `inv_reg_inc_beta` a
+//! residual `|I_x - p|` within `reg_inc_beta`'s own rounding noise, which
+//! is ~1e-12 relative agreement with a Newton/bisection solve wherever that
+//! noise resolves `x` so finely (property-tested for shapes in
+//! `[0.2, 1000]` and `p` in `[1e-15, 1 - 1e-15]`).
 
 /// Natural logarithm of `sqrt(2 * pi)`.
 pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_74;
@@ -272,12 +276,20 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if x == 1.0 { // tidy: allow(float-eq)
         return 1.0;
     }
-    let front = (a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b)).exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
+    inc_beta_front(a, b, x, ln_beta(a, b)).0
+}
+
+/// `I_x(a, b)` for `x` strictly inside `(0, 1)` given `ln_b = ln B(a, b)`,
+/// together with the front factor `x^a (1-x)^b / B(a, b)` — from which
+/// the density follows as `front / (x (1 - x))` without another `exp`.
+fn inc_beta_front(a: f64, b: f64, x: f64, ln_b: f64) -> (f64, f64) {
+    let front = (a * x.ln() + b * (1.0 - x).ln() - ln_b).exp();
+    let i = if x < (a + 1.0) / (a + b + 2.0) {
         front * beta_cf(a, b, x) / a
     } else {
         1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
+    };
+    (i, front)
 }
 
 /// Continued fraction for the incomplete beta function.
@@ -330,44 +342,159 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 
 /// Inverse of the regularized incomplete beta: finds `x` with `I_x(a, b) = p`.
 ///
-/// Safeguarded Newton iteration bracketed by bisection.
+/// Halley iteration from a closed-form start, safeguarded by a bisection
+/// bracket (see [`IncBetaInverse`]). The residual `|I_x - p|` stays within
+/// the rounding noise of [`reg_inc_beta`] itself, so `x` agrees with a
+/// plain Newton/bisection solve to ~1e-12 relative wherever that noise
+/// resolves it so finely.
 ///
 /// # Panics
 ///
 /// Panics if `a <= 0`, `b <= 0` or `p` is outside `[0, 1]`.
 pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "inv_reg_inc_beta: requires a, b > 0, got ({a}, {b})");
-    assert!((0.0..=1.0).contains(&p), "inv_reg_inc_beta: p in [0,1], got {p}");
-    if p == 0.0 { // tidy: allow(float-eq)
-        return 0.0;
-    }
-    if p == 1.0 { // tidy: allow(float-eq)
-        return 1.0;
-    }
-    let mut lo = 0.0_f64;
-    let mut hi = 1.0_f64;
-    let mut x = a / (a + b); // mean as starting point
-    let ln_b = ln_beta(a, b);
-    for _ in 0..200 {
-        let f = reg_inc_beta(a, b, x) - p;
-        if f > 0.0 {
-            hi = x;
+    IncBetaInverse::new(a, b).invert(p)
+}
+
+/// Relative Halley step below which the iteration stops. Halley converges
+/// cubically, so the step that passes this test leaves an error far below
+/// round-off; only a Halley step (never a bisection) may end the solve.
+const HALLEY_TOL: f64 = 1e-9;
+
+/// The inverse incomplete beta for one shape pair `(a, b)`.
+///
+/// `ln B(a, b)` and the shape-only terms of the starting estimate are
+/// computed once here, so a column of probabilities pays for them once
+/// (`Beta::quantile_fill`) while [`inv_reg_inc_beta`] builds one per call;
+/// both run the same float operations per probability, which keeps the
+/// column path bit-identical to the scalar one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IncBetaInverse {
+    a: f64,
+    b: f64,
+    ln_b: f64,
+    start: Start,
+}
+
+/// Shape-only terms of the closed-form starting estimate.
+#[derive(Debug, Clone, Copy)]
+enum Start {
+    /// `a, b >= 1`: the normal approximation of Abramowitz & Stegun
+    /// 26.5.22, with `h = 2 / (1/(2a-1) + 1/(2b-1))` and
+    /// `skew = 1/(2b-1) - 1/(2a-1)`.
+    Normal { h: f64, skew: f64 },
+    /// Otherwise: the power tails `I_x ~ x^a / (a w)` below `p = split` and
+    /// `1 - I_x ~ (1-x)^b / (b w)` above it.
+    Tails { aw: f64, bw: f64, inv_a: f64, inv_b: f64, split: f64 },
+}
+
+impl IncBetaInverse {
+    /// Precomputes the shape-only terms for `(a, b)`; both must be positive.
+    pub(crate) fn new(a: f64, b: f64) -> Self {
+        let start = if a >= 1.0 && b >= 1.0 {
+            let (ra, rb) = (1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0));
+            Start::Normal { h: 2.0 / (ra + rb), skew: rb - ra }
         } else {
-            lo = x;
-        }
-        let ln_pdf = (a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() - ln_b;
-        let dfdx = ln_pdf.exp();
-        let mut x_new = if dfdx > 0.0 { x - f / dfdx } else { 0.5 * (lo + hi) };
-        if !(x_new > lo && x_new < hi) || !x_new.is_finite() {
-            x_new = 0.5 * (lo + hi);
-        }
-        if (x_new - x).abs() <= 1e-15 * x.abs().max(1e-300) {
-            x = x_new;
-            break;
-        }
-        x = x_new;
+            let t = (a * (a / (a + b)).ln()).exp() / a;
+            let u = (b * (b / (a + b)).ln()).exp() / b;
+            let w = t + u;
+            Start::Tails { aw: a * w, bw: b * w, inv_a: 1.0 / a, inv_b: 1.0 / b, split: t / w }
+        };
+        Self { a, b, ln_b: ln_beta(a, b), start }
     }
-    x
+
+    /// Closed-form estimate of the root, for `p` strictly inside `(0, 1)`.
+    fn start(&self, p: f64) -> f64 {
+        match self.start {
+            Start::Normal { h, skew } => {
+                // Upper-tail standard normal deviate of `p` (A&S 26.2.22,
+                // |error| < 3e-3), positive for p < 1/2.
+                let t = (-2.0 * p.min(1.0 - p).ln()).sqrt();
+                let y = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t));
+                let z = if p < 0.5 { y } else { -y };
+                let lambda = (z * z - 3.0) / 6.0;
+                let w = z * (h + lambda).sqrt() / h
+                    - skew * (lambda + 5.0 / 6.0 - 2.0 / (3.0 * h));
+                self.a / (self.a + self.b * (2.0 * w).exp())
+            }
+            Start::Tails { aw, bw, inv_a, inv_b, split } => {
+                if p < split {
+                    (aw * p).powf(inv_a)
+                } else {
+                    1.0 - (bw * (1.0 - p)).powf(inv_b)
+                }
+            }
+        }
+    }
+
+    /// Solves `I_x(a, b) = p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub(crate) fn invert(&self, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "inv_reg_inc_beta: p in [0,1], got {p}");
+        if p <= 0.0 {
+            return 0.0;
+        }
+        if p >= 1.0 {
+            return 1.0;
+        }
+        let (a, b) = (self.a, self.b);
+        // The bracket [lo, hi] always holds the root; its ends' residuals
+        // pick the answer should it shrink to adjacent floats.
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        let (mut lo_err, mut hi_err) = (-p, 1.0 - p);
+        let mut x = self.start(p).clamp(f64::MIN_POSITIVE, 1.0 - 0.5 * f64::EPSILON);
+        for _ in 0..200 {
+            let (i, front) = inc_beta_front(a, b, x, self.ln_b);
+            let err = i - p;
+            if err > 0.0 {
+                (hi, hi_err) = (x, err);
+            } else {
+                (lo, lo_err) = (x, err);
+            }
+            // Far from the root (the nearer tail's mass off by more than a
+            // factor of 2), Halley crawls down a steep tail by ~2/a of x per
+            // step, so take a Newton step on the log of that tail mass
+            // instead: it is exact for the power tails I ~ C x^a and
+            // 1 - I ~ C (1-x)^b.
+            let (mass, other) = if p < 0.5 { (i, 1.0 - x) } else { (1.0 - i, x) };
+            let ratio = mass / p.min(1.0 - p);
+            let next = if ratio > 2.0 || ratio < 0.5 {
+                let shrink = (-ratio.ln() * mass * other / front).exp();
+                if p < 0.5 {
+                    x * shrink
+                } else {
+                    1.0 - (1.0 - x) * shrink
+                }
+            } else {
+                // Halley: u = f / f', with f''/f' = (a-1)/x - (b-1)/(1-x);
+                // the correction is capped so the denominator stays >= 1/2.
+                let u = err * (x * (1.0 - x)) / front;
+                let curv = (a - 1.0) / x - (b - 1.0) / (1.0 - x);
+                let step = u / (1.0 - 0.5 * (u * curv).min(1.0));
+                if step.abs() <= HALLEY_TOL * x.min(1.0 - x) || step.abs() <= f64::EPSILON * x {
+                    return (x - step).clamp(lo, hi);
+                }
+                x - step
+            };
+            x = if next > lo && next < hi {
+                next
+            } else {
+                let mid = 0.5 * (lo + hi);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                mid
+            };
+        }
+        if lo_err.abs() <= hi_err.abs() {
+            lo
+        } else {
+            hi
+        }
+    }
 }
 
 /// The error function `erf(x)`, computed from the regularized incomplete
@@ -637,6 +764,126 @@ mod tests {
                 close(reg_inc_beta(a, b, x), p, 1e-10);
             }
         }
+    }
+
+    #[test]
+    fn inverse_incomplete_beta_steep_power_tails() {
+        // I_x(a, 1) = x^a and I_x(1, b) = 1 - (1-x)^b have closed-form
+        // inverses. A start far down a steep power tail is where Halley
+        // crawls by ~2/a of x per step and runs out of iterations.
+        for &(a, p) in &[(1000.0, 1e-15), (629.0, 2e-15), (300.0, 1e-9)] {
+            let x = inv_reg_inc_beta(a, 1.0, p);
+            close(x, (p.ln() / a).exp(), 1e-13);
+        }
+        for &(b, p) in &[(1000.0, 1.0 - 1e-15), (629.0, 1.0 - 2e-15), (300.0, 1.0 - 1e-9)] {
+            let x = inv_reg_inc_beta(1.0, b, p);
+            let q = 1.0 - p;
+            let expect = -(q.ln() / b).exp_m1();
+            // I_x is known only to ~ε this close to 1, which moves x by ε/pdf.
+            let pdf = b * q / (1.0 - expect);
+            let tol = 1e-13 * expect + 4.0 * f64::EPSILON / pdf;
+            assert!((x - expect).abs() <= tol, "b={b}, p={p}: {x} vs {expect}");
+        }
+    }
+
+    /// The inverse as it stood before the Halley rewrite: Newton from the
+    /// mean with a bisection fallback, recomputing `ln B` at every CDF
+    /// evaluation. Slow but independent of the closed-form start; in the
+    /// far tails its bisection stalls before reaching the root, so only
+    /// its converged answers serve as reference values.
+    fn newton_bisection_oracle(a: f64, b: f64, p: f64) -> f64 {
+        let mut lo = 0.0_f64;
+        let mut hi = 1.0_f64;
+        let mut x = a / (a + b);
+        let ln_b = ln_beta(a, b);
+        for _ in 0..200 {
+            let f = reg_inc_beta(a, b, x) - p;
+            if f > 0.0 {
+                hi = x;
+            } else {
+                lo = x;
+            }
+            let ln_pdf = (a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() - ln_b;
+            let dfdx = ln_pdf.exp();
+            let mut x_new = if dfdx > 0.0 { x - f / dfdx } else { 0.5 * (lo + hi) };
+            if !(x_new > lo && x_new < hi) || !x_new.is_finite() {
+                x_new = 0.5 * (lo + hi);
+            }
+            if (x_new - x).abs() <= 1e-15 * x.abs().max(1e-300) {
+                return x_new;
+            }
+            x = x_new;
+        }
+        x
+    }
+
+    /// Rounding noise of one `reg_inc_beta(a, b, x)` evaluation near
+    /// `I_x = p`. The exponent `a ln x + b ln(1-x) - ln B` carries an
+    /// absolute error of about ε per unit of its terms' magnitudes, plus
+    /// `a + b` for the roundings of `x` and `1 - x` inside the logs; `front`
+    /// turns that into a relative error of the branch's tail mass, and the
+    /// upper branch adds the rounding of `1 - ...`.
+    fn cdf_noise(a: f64, b: f64, x: f64, p: f64) -> f64 {
+        let s = a * x.ln().abs() + b * (1.0 - x).ln().abs() + ln_beta(a, b).abs() + a + b + 4.0;
+        if x < (a + 1.0) / (a + b + 2.0) {
+            f64::EPSILON * p * s
+        } else {
+            f64::EPSILON * ((1.0 - p) * s + 2.0)
+        }
+    }
+
+    /// How far `I_x` may sit from `p` at a converged root: four times the
+    /// evaluation noise, plus the CDF's rise over one ulp of `x`.
+    fn residual_bound(a: f64, b: f64, x: f64, p: f64) -> f64 {
+        let pdf = ((a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln() - ln_beta(a, b)).exp();
+        let ulp = f64::from_bits(x.to_bits() + 1) - x;
+        4.0 * cdf_noise(a, b, x, p) + pdf * ulp
+    }
+
+    #[test]
+    fn inverse_incomplete_beta_matches_oracle_at_round_off() {
+        use crate::propcheck::{self, any_bool, f64_range, just, one_of, Strategy};
+        let log_shape = || f64_range(0.2_f64.ln(), 1000.0_f64.ln()).map(f64::exp);
+        let shapes = one_of(vec![
+            (log_shape(), log_shape()).boxed(),
+            just((300.0, 700.0)).boxed(),
+            // Student-t's (ν/2, 1/2).
+            log_shape().map(|a| (a, 0.5)).boxed(),
+            // The shapes the served missed-hazard model draws.
+            (f64_range(1.5, 4.0), f64_range(5.0, 20.0)).boxed(),
+        ]);
+        // p = 10^-e from either end, e in [0, 15]: both tails down to 1e-15.
+        let prob = || {
+            (f64_range(0.0, 15.0), any_bool()).map(|(e, upper)| {
+                let t = 10f64.powf(-e);
+                (if upper { 1.0 - t } else { t }).clamp(1e-15, 1.0 - 1e-15)
+            })
+        };
+        propcheck::check(
+            "inverse_incomplete_beta_matches_oracle_at_round_off",
+            1024,
+            (shapes, prob(), prob()),
+            |&((a, b), p1, p2)| {
+                let (p_lo, p_hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
+                let (x_lo, x_hi) = (inv_reg_inc_beta(a, b, p_lo), inv_reg_inc_beta(a, b, p_hi));
+                assert!(x_lo <= x_hi, "not monotone: {p_lo} -> {x_lo}, {p_hi} -> {x_hi}");
+                for (p, x) in [(p_lo, x_lo), (p_hi, x_hi)] {
+                    assert!((0.0..=1.0).contains(&x), "x = {x} outside [0, 1]");
+                    let residual = (reg_inc_beta(a, b, x) - p).abs();
+                    let bound = residual_bound(a, b, x, p);
+                    assert!(residual <= bound, "residual {residual:e} > {bound:e} at p={p}, x={x}");
+                    let xo = newton_bisection_oracle(a, b, p);
+                    if (reg_inc_beta(a, b, xo) - p).abs() <= residual_bound(a, b, xo, p) {
+                        // Relative agreement 1e-12, widened only by the span
+                        // of x over which the CDF's noise hides the root.
+                        let ln_pdf = (a - 1.0) * xo.ln() + (b - 1.0) * (1.0 - xo).ln();
+                        let pdf = (ln_pdf - ln_beta(a, b)).exp();
+                        let tol = 1e-12 * xo + 2.0 * cdf_noise(a, b, xo, p) / pdf;
+                        assert!((x - xo).abs() <= tol, "x={x} vs oracle {xo} at p={p}");
+                    }
+                }
+            },
+        );
     }
 
     #[test]
