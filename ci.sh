@@ -33,7 +33,9 @@ echo "== build (release) =="
 cargo build --release --offline
 
 echo "== tests =="
-cargo test -q --offline
+# --workspace: the crates' own unit and property tests gate too, not
+# only the root integration suite.
+cargo test -q --offline --workspace
 
 echo "== verify tier (bounded-exhaustive, release) =="
 # Kani-style bounded-exhaustive harnesses, #[ignore]-gated so a plain

@@ -52,16 +52,19 @@ fn chunked_outputs_bit_identical_to_scalar_for_every_design() {
         let dists = sysunc::prob::dist::Uniform::new(0.2, 2.0).expect("valid");
         let norm = sysunc::prob::dist::Normal::new(0.0, 1.0).expect("valid");
         let expo = sysunc::prob::dist::Exponential::new(1.3).expect("valid");
-        let inputs: Vec<&dyn Continuous> = vec![&dists, &norm, &expo];
+        // Beta's quantile is the one iterative inversion on the served path.
+        let beta = sysunc::prob::dist::Beta::new(2.5, 8.0).expect("valid");
+        let inputs: Vec<&dyn Continuous> = vec![&dists, &norm, &expo, &beta];
+        let model = |x: &[f64]| CurvedModel.eval(x) * (1.0 + x[3]);
         for design in designs() {
             let mut rng = StdRng::seed_from_u64(seed);
-            let scalar = propagate(&inputs, design.as_ref(), &CurvedModel, n, &mut rng)
+            let scalar = propagate(&inputs, design.as_ref(), &model, n, &mut rng)
                 .expect("scalar path runs");
             let mut rng = StdRng::seed_from_u64(seed);
             let run = propagate_chunked(
                 &inputs,
                 design.as_ref(),
-                &CurvedModel,
+                &model,
                 n,
                 ChunkOptions { width, threads },
                 &mut rng,
