@@ -30,7 +30,9 @@ printf '%s' "$json" | cargo run -q --offline -p sysunc-bench --bin tidy_trend --
   --out BENCH_tidy_trend.json --fail-on-regression
 
 echo "== build (release) =="
-cargo build --release --offline
+# --workspace also builds the sysunc-serve binary that the fleet tests
+# and the fleet smoke spawn as shards; the root package alone does not.
+cargo build --release --offline --workspace
 
 echo "== tests =="
 # --workspace: the crates' own unit and property tests gate too, not
