@@ -356,7 +356,8 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> f64 {
     IncBetaInverse::new(a, b).invert(p)
 }
 
-/// Relative Halley step below which the iteration stops. Halley converges
+/// Halley step, relative to `min(x, 1 - x)`, below which the iteration
+/// stops (or one below float resolution at `x`). Halley converges
 /// cubically, so the step that passes this test leaves an error far below
 /// round-off; only a Halley step (never a bisection) may end the solve.
 const HALLEY_TOL: f64 = 1e-9;
@@ -384,7 +385,8 @@ enum Start {
     /// `skew = 1/(2b-1) - 1/(2a-1)`.
     Normal { h: f64, skew: f64 },
     /// Otherwise: the power tails `I_x ~ x^a / (a w)` below `p = split` and
-    /// `1 - I_x ~ (1-x)^b / (b w)` above it.
+    /// `1 - I_x ~ (1-x)^b / (b w)` above it, where
+    /// `w = (a/(a+b))^a / a + (b/(a+b))^b / b`.
     Tails { aw: f64, bw: f64, inv_a: f64, inv_b: f64, split: f64 },
 }
 
@@ -445,7 +447,9 @@ impl IncBetaInverse {
         // pick the answer should it shrink to adjacent floats.
         let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
         let (mut lo_err, mut hi_err) = (-p, 1.0 - p);
-        let mut x = self.start(p).clamp(f64::MIN_POSITIVE, 1.0 - 0.5 * f64::EPSILON);
+        // Strictly inside (0, 1); `max` also maps a NaN start (shapes so
+        // extreme that the start's terms overflow) to the lower end.
+        let mut x = self.start(p).max(f64::MIN_POSITIVE).min(1.0 - 0.5 * f64::EPSILON);
         for _ in 0..200 {
             let (i, front) = inc_beta_front(a, b, x, self.ln_b);
             let err = i - p;
